@@ -5,7 +5,6 @@
 #   make bench-fit   training-engine throughput benchmark only
 #   make bench-serve full 1.6k->1M serving scalability sweep (regenerates its results/ artifact)
 #   make bench-daemon park-service load generator (latency percentiles + QPS)
-#   make test-zoo    solver zoo only (pinned B&B search behaviour)
 #   make test-chaos  fault-injection suite (fixed seed matrix; failures
 #                    print their seed for exact replay)
 #   make smoke       CLI entry points all exit 0
@@ -24,13 +23,10 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-zoo test-chaos bench bench-fit bench-serve bench-daemon smoke serve-smoke lint lint-flow lint-json check
+.PHONY: test test-chaos bench bench-fit bench-serve bench-daemon smoke serve-smoke lint lint-flow lint-json check
 
 test:
 	$(PYTHON) -m pytest tests -x -q
-
-test-zoo:
-	$(PYTHON) -m pytest tests/solver_zoo -q
 
 test-chaos:
 	$(PYTHON) -m pytest tests/test_chaos.py -q

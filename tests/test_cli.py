@@ -7,6 +7,7 @@ import io
 import pytest
 
 from repro.cli import build_parser, main
+from tests.test_cli_smoke import run_module
 
 
 def run_cli(argv: list[str]) -> tuple[int, str]:
@@ -97,6 +98,17 @@ class TestPlan:
         )
         assert code == 0
         assert "solved as MILP" in text
+
+    @pytest.mark.parametrize(
+        "argv", [["--solver", "bnb"], ["--bnb-strategy", "dfs"]]
+    )
+    def test_removed_solver_options_are_usage_errors(self, argv):
+        """The from-scratch branch-and-bound backend is gone: asking for it
+        is an argparse usage error (exit 2), not a silent fallback."""
+        result = run_module("plan", *argv)
+        assert result.returncode == 2
+        assert "usage:" in result.stderr
+        assert argv[0] in result.stderr
 
     def test_bad_post_index(self):
         code, text = run_cli(
