@@ -20,7 +20,8 @@ Two structural optimisations keep repeated solves cheap:
   sparse constraint matrix, row bounds, integrality) depends only on the
   graph and the PWL breakpoints, not on the utility *values*. A beta sweep
   changes only the ``ys``, so :meth:`PatrolMILP.build_structure` caches the
-  assembled :class:`MILPStructure` (an LRU of
+  assembled :class:`MILPStructure` (an
+  :class:`~repro.runtime.concurrency.LRUCache` of
   :data:`STRUCTURE_CACHE_SIZE` entries) and re-solves swap in a fresh
   objective vector instead of rebuilding the matrix.
 * **LP fast path** — when every per-cell utility is concave
@@ -50,8 +51,6 @@ Two structural optimisations keep repeated solves cheap:
 from __future__ import annotations
 
 import hashlib
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +60,7 @@ from scipy.optimize import LinearConstraint, Bounds, milp
 from repro.exceptions import ConfigurationError, InfeasibleError, PlanningError
 from repro.planning.graph import TimeUnrolledGraph
 from repro.planning.pwl import PiecewiseLinear
-from repro.runtime.concurrency import thread_shared
+from repro.runtime.concurrency import LRUCache
 
 #: Accepted values for the ``mode`` argument of :meth:`PatrolMILP.solve`.
 #: Every mode solves with HiGHS; they differ only in which binaries the
@@ -151,14 +150,14 @@ class MILPSolution:
     bound_gap: float = 0.0
 
 
-@thread_shared
 class PatrolMILP:
     """Builder/solver for problem (P) on one patrol post.
 
-    The builder is ``@thread_shared``: its structure cache mutates under
-    ``self._lock``, so one post's planner can serve concurrent solves
-    (beta sweeps fanning out over request threads reuse one cached
-    constraint matrix; racing cold builds are deduplicated on insert).
+    Its one mutable part, the structure cache, is a self-locking
+    :class:`~repro.runtime.concurrency.LRUCache`, so one post's planner can
+    serve concurrent solves (beta sweeps fanning out over request threads
+    reuse one cached constraint matrix; racing cold builds converge on the
+    incumbent).
 
     Parameters
     ----------
@@ -199,22 +198,7 @@ class PatrolMILP:
         self.time_limit = time_limit
         self.mip_gap = mip_gap
         self.envelope_gap = envelope_gap
-        # Mutated only under self._lock (the @thread_shared contract, RP004).
-        self._lock = threading.RLock()
-        # LRU: most recently used last, capped at STRUCTURE_CACHE_SIZE.
-        self._structures: OrderedDict[tuple, MILPStructure] = OrderedDict()
-        self._structure_hits = 0
-        self._structure_misses = 0
-
-    @property
-    def structure_hits(self) -> int:
-        """Structure-cache hits so far (read-only)."""
-        return self._structure_hits
-
-    @property
-    def structure_misses(self) -> int:
-        """Structure-cache misses (i.e. assembled systems) so far (read-only)."""
-        return self._structure_misses
+        self._structures = LRUCache(STRUCTURE_CACHE_SIZE)
 
     # ------------------------------------------------------------------
     @property
@@ -297,15 +281,11 @@ class PatrolMILP:
             binary_set = set(int(v) for v in binary_cells)
             binary_key = tuple(sorted(binary_set))
         key = self._structure_key(cells, utilities, lp_mode, binary_key)
-        with self._lock:
-            cached = self._structures.get(key)
-            if cached is not None:
-                self._structures.move_to_end(key)
-                self._structure_hits += 1
-                return cached
-            self._structure_misses += 1
-        # Assembly happens outside the lock: racing cold builds produce the
-        # same (deterministic) structure and the incumbent insertion wins.
+        cached = self._structures.get(key)
+        if cached is not None:
+            return cached
+        # Assembly happens outside the cache's lock: racing cold builds
+        # produce the same (deterministic) structure and the incumbent wins.
 
         graph = self.graph
         n_edges = graph.n_edges
@@ -411,14 +391,7 @@ class PatrolMILP:
             lp_mode=lp_mode,
             binary_cells=binary_key,
         )
-        with self._lock:
-            incumbent = self._structures.get(key)
-            if incumbent is not None:
-                return incumbent
-            self._structures[key] = structure
-            if len(self._structures) > STRUCTURE_CACHE_SIZE:
-                self._structures.popitem(last=False)
-        return structure
+        return self._structures.put(key, structure)
 
     def objective_vector(
         self, structure: MILPStructure, utilities: dict[int, PiecewiseLinear]
@@ -595,9 +568,5 @@ class PatrolMILP:
 
     # ------------------------------------------------------------------
     def structure_cache_info(self) -> dict[str, int]:
-        """Hit/miss counters of the model-structure cache."""
-        return {
-            "hits": self.structure_hits,
-            "misses": self.structure_misses,
-            "entries": len(self._structures),
-        }
+        """Model-structure cache counters (:meth:`LRUCache.info`)."""
+        return self._structures.info()

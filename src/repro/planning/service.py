@@ -40,7 +40,7 @@ from repro.geo.grid import Grid
 from repro.planning.milp import SOLVER_MODES
 from repro.planning.planner import PatrolPlan, PatrolPlanner
 from repro.planning.robust import RobustObjective
-from repro.runtime.concurrency import thread_shared
+from repro.runtime.concurrency import LRUCache, thread_shared
 from repro.runtime.parallel import parallel_map
 from repro.runtime.resilience import (
     ResilienceStats,
@@ -54,20 +54,18 @@ from repro.runtime.service import RiskMapService
 class PlanService:
     """Plan-many facade over one predictor and a park's patrol posts.
 
-    The service is ``@thread_shared``: the lazily built per-post planner
-    registry mutates under ``self._lock``, so concurrent requests (the
+    The service is ``@thread_shared``: concurrent requests (the
     park-service daemon's deployment shape) agree on one planner — and
-    therefore one MILP structure cache — per post. The planners themselves
-    guard their structure caches the same way (see
-    :class:`~repro.planning.milp.PatrolMILP`).
+    therefore one MILP structure cache — per post, because the lazily built
+    planners live in an :class:`~repro.runtime.concurrency.LRUCache` sized
+    to the post list (it never evicts).
 
     Parameters
     ----------
     model:
         A fitted :class:`~repro.core.predictor.PawsPredictor` (wrapped in a
         caching :class:`~repro.runtime.service.RiskMapService`
-        automatically) or an existing service / any object exposing
-        ``effort_response(features, xs) -> (risk, nu)``.
+        automatically) or an existing service.
     grid:
         Park lattice shared by every post.
     posts:
@@ -96,11 +94,6 @@ class PlanService:
         solver_mode: str = "auto",
         n_jobs: int | None = 1,
     ):
-        if not hasattr(model, "effort_response"):
-            raise ConfigurationError(
-                "model must expose effort_response(features, xs); got "
-                f"{type(model).__name__}"
-            )
         if solver_mode not in SOLVER_MODES:
             raise ConfigurationError(
                 f"solver_mode must be one of {SOLVER_MODES}, got '{solver_mode}'"
@@ -121,9 +114,9 @@ class PlanService:
         self.time_limit = time_limit
         self.solver_mode = solver_mode
         self.n_jobs = n_jobs
+        self._planners = LRUCache(len(self.posts))
         # Mutated only under self._lock (the @thread_shared contract, RP004).
         self._lock = threading.RLock()
-        self._planners: dict[int, PatrolPlanner] = {}
         #: Accumulated fan-out survival counters (the daemon's /stats feed).
         self._resilience = ResilienceStats()
 
@@ -133,7 +126,7 @@ class PlanService:
             self._resilience.merge(stats)
 
     @staticmethod
-    def _as_service(model):
+    def _as_service(model) -> RiskMapService:
         """Wrap a bare predictor so repeated queries hit the LRU cache."""
         if isinstance(model, RiskMapService):
             return model
@@ -141,7 +134,10 @@ class PlanService:
 
         if isinstance(model, PawsPredictor):
             return RiskMapService(model)
-        return model
+        raise ConfigurationError(
+            "model must be a PawsPredictor or a RiskMapService; got "
+            f"{type(model).__name__}"
+        )
 
     # ------------------------------------------------------------------
     # Construction from a saved model
@@ -169,30 +165,25 @@ class PlanService:
         for the life of the service, so repeated solves reuse the matrix).
 
         Thread-safe: concurrent callers racing on a cold post receive the
-        same planner instance (the registry insertion is double-checked
-        under the service lock).
+        same planner instance (the first one inserted wins).
         """
         post = int(post)
-        planner = self._planners.get(post)
-        if planner is None:
-            if post not in self.posts:
-                raise ConfigurationError(
-                    f"post {post} is not served (posts: {self.posts})"
-                )
-            with self._lock:
-                planner = self._planners.get(post)
-                if planner is None:
-                    planner = PatrolPlanner(
-                        self.grid,
-                        post,
-                        horizon=self.horizon,
-                        n_patrols=self.n_patrols,
-                        n_segments=self.n_segments,
-                        time_limit=self.time_limit,
-                        solver_mode=self.solver_mode,
-                    )
-                    self._planners[post] = planner
-        return planner
+        if post not in self.posts:
+            raise ConfigurationError(
+                f"post {post} is not served (posts: {self.posts})"
+            )
+        return self._planners.get_or_compute(
+            post,
+            lambda: PatrolPlanner(
+                self.grid,
+                post,
+                horizon=self.horizon,
+                n_patrols=self.n_patrols,
+                n_segments=self.n_segments,
+                time_limit=self.time_limit,
+                solver_mode=self.solver_mode,
+            ),
+        )
 
     def breakpoints(self) -> np.ndarray:
         """Shared PWL abscissae on [0, T*K] (identical for every post)."""
@@ -295,23 +286,16 @@ class PlanService:
     # Introspection
     # ------------------------------------------------------------------
     def cache_info(self) -> dict[str, dict[str, int]]:
-        """Prediction-cache and per-post MILP-structure-cache counters."""
-        structures = {
-            "hits": 0,
-            "misses": 0,
-            "entries": 0,
-        }
-        # snapshot: the registry may gain planners concurrently
-        for planner in list(self._planners.values()):
+        """Prediction-cache and per-post MILP-structure-cache counters (the
+        ``"structure"`` :meth:`LRUCache.info` keys summed over posts)."""
+        structures = dict.fromkeys(
+            ("hits", "misses", "evictions", "entries", "capacity"), 0
+        )
+        for __, planner in self._planners.snapshot():
             info = planner.milp.structure_cache_info()
             for key in structures:
                 structures[key] += info[key]
-        prediction = (
-            self.service.cache_info()
-            if hasattr(self.service, "cache_info")
-            else {}
-        )
-        return {"prediction": prediction, "structure": structures}
+        return {"prediction": self.service.cache_info(), "structure": structures}
 
     def resilience_info(self) -> dict:
         """Accumulated fan-out survival counters (the daemon's ``/stats``).

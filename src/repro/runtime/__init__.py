@@ -17,7 +17,8 @@ Section VII:
   fit-once / predict-many facade the CLI and examples build on.
 * :mod:`repro.runtime.concurrency` — the ``@thread_shared`` registry:
   classes declared safe for cross-thread sharing, whose lock discipline
-  is machine-checked by ``repro lint`` rule RP004.
+  is machine-checked by ``repro lint`` rule RP004, and ``LRUCache``, the
+  one bounded cache primitive.
 * :mod:`repro.runtime.resilience` — the supervised fan-out engine under
   ``parallel_map``: per-task futures, crash recovery with a
   process→thread→serial degradation ladder, deadlines

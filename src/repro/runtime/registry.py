@@ -15,7 +15,9 @@ disk as a ``save_model`` directory under one *models root*::
   every request (:class:`~repro.runtime.breaker.CircuitBreaker`);
 * **LRU memory budget** — at most ``max_parks`` entries stay hot; loading
   one more evicts the least recently used (its result caches and feature
-  registrations go with it; the on-disk model is untouched);
+  registrations go with it; the on-disk model is untouched), and each
+  entry keeps :attr:`ParkEntry.MAX_CONTEXTS` ``(seed, scale)`` contexts,
+  unregistering the features of an evicted one;
 * **atomic hot-swap** — :meth:`reload` loads and verifies the *new* model
   off to the side and only then swaps the registry entry under the lock.
   A corrupt replacement raises
@@ -36,7 +38,6 @@ state mutates under ``self._lock`` (the ``@thread_shared`` contract).
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +48,7 @@ from repro.exceptions import (
     ResilienceError,
 )
 from repro.runtime.breaker import CircuitBreaker
-from repro.runtime.concurrency import thread_shared
+from repro.runtime.concurrency import LRUCache, thread_shared
 from repro.runtime.persistence import MANIFEST_NAME
 from repro.runtime.resilience import Deadline, ResilienceStats, collect_stats
 from repro.runtime.service import RiskMapService
@@ -60,8 +61,8 @@ class _ParkContext:
     matrix (and the grid/posts the planner needs) is derived
     deterministically from the park profile, seed, and scale — exactly the
     arrays a direct library call would build — then registered with the
-    entry's :class:`~repro.runtime.service.RiskMapService` so repeated
-    queries key its LRU by token instead of re-hashing.
+    entry's :class:`~repro.runtime.service.RiskMapService` under ``token``
+    (until the context is evicted) so queries skip re-hashing it.
     """
 
     __slots__ = ("seed", "scale", "data", "features", "token", "plan_service")
@@ -102,11 +103,14 @@ class ParkEntry:
         self.dispatch_breaker = dispatch_breaker or CircuitBreaker(
             f"dispatch:{name}"
         )
+        # Not a bound method: that cycle would keep a swapped-out entry (its
+        # model and caches) alive until the cyclic garbage collector runs.
+        self._contexts = LRUCache(
+            self.MAX_CONTEXTS,
+            on_evict=lambda context: service.unregister_features(context.token),
+        )
         # Mutated only under self._lock (the @thread_shared contract, RP004).
         self._lock = threading.RLock()
-        self._contexts: OrderedDict[tuple[int, float], _ParkContext] = (
-            OrderedDict()
-        )
 
     # ------------------------------------------------------------------
     # Contexts
@@ -114,45 +118,38 @@ class ParkEntry:
     def install_context(self, seed: int, scale: float, data) -> _ParkContext:
         """Register pre-generated park data for ``(seed, scale)``.
 
-        The daemon calls this indirectly through :meth:`context`; tests and
-        benchmarks call it directly to reuse an already-generated park
+        The daemon builds contexts through :meth:`context`; tests and
+        benchmarks call this directly to reuse an already-generated park
         instead of paying ``generate_dataset`` again (the arrays are
         deterministic in ``(profile, seed)``, so the served results are
         identical either way).
         """
         key = (int(seed), float(scale))
+        return self._contexts.put(key, self._new_context(key, data))
+
+    def context(self, seed: int = 0, scale: float = 1.0) -> _ParkContext:
+        """The (cached) serving context for one ``(seed, scale)`` view."""
+        key = (int(seed), float(scale))
+        return self._contexts.get_or_compute(
+            key, lambda: self._new_context(key)
+        )
+
+    def _new_context(self, key: tuple[int, float], data=None) -> _ParkContext:
+        """Build one context (generating its data if not given)."""
+        if data is None:
+            from repro.data import generate_dataset, get_profile
+
+            profile = get_profile(self.name)
+            if key[1] != 1.0:
+                profile = profile.scaled(key[1])
+            data = generate_dataset(profile, seed=key[0])
         features = self.service.predictor.cell_feature_matrix(
             data.park, data.recorded_effort[-1]
         )
         token = self.service.register_features(
             f"{self.name}/seed={key[0]}/scale={key[1]}", features
         )
-        context = _ParkContext(key[0], key[1], data, features, token)
-        with self._lock:
-            incumbent = self._contexts.get(key)
-            if incumbent is not None:
-                return incumbent
-            self._contexts[key] = context
-            if len(self._contexts) > self.MAX_CONTEXTS:
-                self._contexts.popitem(last=False)
-        return context
-
-    def context(self, seed: int = 0, scale: float = 1.0) -> _ParkContext:
-        """The (cached) serving context for one ``(seed, scale)`` view."""
-        key = (int(seed), float(scale))
-        context = self._contexts.get(key)
-        if context is not None:
-            with self._lock:
-                if key in self._contexts:
-                    self._contexts.move_to_end(key)
-            return context
-        from repro.data import generate_dataset, get_profile
-
-        profile = get_profile(self.name)
-        if key[1] != 1.0:
-            profile = profile.scaled(key[1])
-        data = generate_dataset(profile, seed=key[0])
-        return self.install_context(key[0], key[1], data)
+        return _ParkContext(key[0], key[1], data, features, token)
 
     def _plan_service(self, context: _ParkContext):
         """The lazily built per-context :class:`~repro.planning.service.PlanService`."""
@@ -217,7 +214,7 @@ class ParkEntry:
         context = self.context(seed, scale)
         return self._dispatch(
             lambda backend: self.service.risk_map(
-                context.token, effort=effort, deadline=deadline,
+                context.features, effort=effort, deadline=deadline,
                 backend=backend,
             )
         )
@@ -239,11 +236,11 @@ class ParkEntry:
             # sees the prediction fan-outs a cache miss triggers.
             if post is not None:
                 plan = plan_service.plan_post(
-                    int(post), context.token, beta=beta, deadline=deadline
+                    int(post), context.features, beta=beta, deadline=deadline
                 )
                 return {int(post): plan}
             return plan_service.plan_all(
-                context.token, beta=beta, deadline=deadline
+                context.features, beta=beta, deadline=deadline
             )
 
         return self._dispatch(compute)
@@ -255,23 +252,17 @@ class ParkEntry:
     def stats(self) -> dict:
         """Per-entry counters for ``/stats``."""
         plan_info = None
-        for context in list(self._contexts.values()):
+        for __, context in self._contexts.snapshot():
             if context.plan_service is not None:
                 merged = plan_info or ResilienceStats()
                 merged.merge(
-                    ResilienceStats(
-                        **{
-                            key: value
-                            for key, value in
-                            context.plan_service.resilience_info().items()
-                        }
-                    )
+                    ResilienceStats(**context.plan_service.resilience_info())
                 )
                 plan_info = merged
         return {
             "version": self.version,
             "path": str(self.path),
-            "contexts": len(self._contexts),
+            "contexts": self._contexts.info(),
             "degraded": self.degraded(),
             "dispatch_breaker": self.dispatch_breaker.info(),
             "cache": self.service.cache_info(),
@@ -294,8 +285,9 @@ class ModelRegistry:
         profile so features can be derived deterministically).
     max_parks:
         Hot entries kept before LRU eviction (>= 1).
-    tile_size, n_jobs, backend, cache_entries:
-        Forwarded to each entry's :class:`~repro.runtime.service.RiskMapService`.
+    tile_size, n_jobs, backend:
+        Forwarded to each entry's :class:`~repro.runtime.service.RiskMapService`
+        (whose result cache keeps its default 32 entries).
     verify:
         Checksum-verify models on load. Hot-swap *always* verifies,
         regardless — a reload that skipped verification could swap a
@@ -312,7 +304,6 @@ class ModelRegistry:
         tile_size: int | None = None,
         n_jobs: int | None = 1,
         backend: str = "auto",
-        cache_entries: int = 32,
         verify: bool = True,
         load_failure_threshold: int = 3,
         load_recovery_after: float = 5.0,
@@ -328,19 +319,17 @@ class ModelRegistry:
         self.tile_size = tile_size
         self.n_jobs = n_jobs
         self.backend = backend
-        self.cache_entries = int(cache_entries)
         self.verify = bool(verify)
         self.load_failure_threshold = int(load_failure_threshold)
         self.load_recovery_after = float(load_recovery_after)
+        self._entries = LRUCache(self.max_parks)
         # Mutated only under self._lock (the @thread_shared contract, RP004).
         self._lock = threading.RLock()
-        self._entries: OrderedDict[str, ParkEntry] = OrderedDict()
         self._load_breakers: dict[str, CircuitBreaker] = {}
         self._versions: dict[str, int] = {}
         self._loads = 0
         self._reloads = 0
         self._rejected_reloads = 0
-        self._evictions = 0
 
     # ------------------------------------------------------------------
     # Discovery
@@ -358,7 +347,7 @@ class ModelRegistry:
 
     def loaded(self) -> list[str]:
         """Currently hot parks, least recently used first."""
-        return list(self._entries)
+        return [park for park, __ in self._entries.snapshot()]
 
     def _path(self, park: str) -> Path:
         path = self.models_dir / park
@@ -389,7 +378,6 @@ class ModelRegistry:
     def _load_service(self, path: Path, verify: bool) -> RiskMapService:
         return RiskMapService.from_saved(
             path,
-            max_entries=self.cache_entries,
             tile_size=self.tile_size,
             n_jobs=self.n_jobs,
             backend=self.backend,
@@ -426,22 +414,14 @@ class ModelRegistry:
         when the artifact fails verification, and
         :class:`~repro.exceptions.ConfigurationError` when no model exists.
         """
-        incumbent = self._entries.get(park)
-        if incumbent is not None:
-            with self._lock:
-                if park in self._entries:
-                    self._entries.move_to_end(park)
-            return incumbent
-        entry = self._build_entry(park, verify=self.verify, deadline=deadline)
-        with self._lock:
-            incumbent = self._entries.get(park)
-            if incumbent is not None:
-                return incumbent  # a racing load won; serve its entry
-            self._entries[park] = entry
-            while len(self._entries) > self.max_parks:
-                self._entries.popitem(last=False)
-                self._evictions += 1
-        return entry
+        # A racing load of the same park may win the insert; every caller
+        # then serves the incumbent entry.
+        return self._entries.get_or_compute(
+            park,
+            lambda: self._build_entry(
+                park, verify=self.verify, deadline=deadline
+            ),
+        )
 
     def reload(self, park: str, deadline: Deadline | None = None) -> ParkEntry:
         """Atomic hot-swap: load-and-verify aside, swap only on success.
@@ -462,15 +442,11 @@ class ModelRegistry:
         # request to regenerate park data (features re-register against the
         # new service; cached *results* start cold, as they must).
         if current is not None:
-            for context in list(current._contexts.values()):
+            for __, context in current._contexts.snapshot():
                 entry.install_context(context.seed, context.scale, context.data)
+        self._entries.put(park, entry, overwrite=True)
         with self._lock:
-            self._entries[park] = entry
-            self._entries.move_to_end(park)
             self._reloads += 1
-            while len(self._entries) > self.max_parks:
-                self._entries.popitem(last=False)
-                self._evictions += 1
         return entry
 
     # ------------------------------------------------------------------
@@ -478,8 +454,8 @@ class ModelRegistry:
     # ------------------------------------------------------------------
     def park_health(self) -> dict:
         """Per-park health flags (the ``/health`` parks section)."""
+        entries = dict(self._entries.snapshot())
         with self._lock:
-            entries = dict(self._entries)
             load_breakers = dict(self._load_breakers)
         report = {}
         for park in self.available():
@@ -512,21 +488,22 @@ class ModelRegistry:
         # registry (RP008: no blocking calls under a shared lock).
         with self._lock:
             counters = {
-                "loaded": list(self._entries),
                 "loads": self._loads,
                 "reloads": self._reloads,
                 "rejected_reloads": self._rejected_reloads,
-                "evictions": self._evictions,
             }
         return {
             "models_dir": str(self.models_dir),
             "max_parks": self.max_parks,
             "available": self.available(),
+            "loaded": self.loaded(),
             **counters,
+            "evictions": self._entries.info()["evictions"],
         }
 
     def stats(self) -> dict:
         """Per-loaded-park stats (the ``/stats`` parks section)."""
-        with self._lock:
-            entries = dict(self._entries)
-        return {park: entry.stats() for park, entry in sorted(entries.items())}
+        return {
+            park: entry.stats()
+            for park, entry in sorted(self._entries.snapshot())
+        }

@@ -12,9 +12,9 @@ fitted :class:`~repro.core.predictor.PawsPredictor` with
   memory at ``O(n_train x tile)``; ``n_jobs`` spreads ``(member x tile)``
   tasks over the hint-selected pool — surfaces are bit-identical to the
   serial, untiled path at any setting),
-* an **LRU result cache** keyed on the request arrays, so repeated queries
-  (the common case: same park features, same planner breakpoints) cost a
-  dictionary lookup, and
+* an **LRU result cache** (:class:`~repro.runtime.concurrency.LRUCache`)
+  keyed on the request arrays, so repeated queries (the common case: same
+  park features, same planner breakpoints) cost a dictionary lookup, and
 * **feature registration**: parks whose feature matrix is served over and
   over register it once (:meth:`register_features`), paying the SHA-256
   content hash at registration instead of on every query.
@@ -32,13 +32,12 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from collections import OrderedDict
 
 import numpy as np
 
 from repro.core.predictor import PawsPredictor
 from repro.exceptions import ConfigurationError, NotFittedError
-from repro.runtime.concurrency import thread_shared
+from repro.runtime.concurrency import LRUCache, thread_shared
 from repro.runtime.parallel import check_backend, resolve_n_jobs
 from repro.runtime.resilience import (
     ResilienceStats,
@@ -53,9 +52,9 @@ class RiskMapService:
 
     The service is ``@thread_shared``: one instance may serve many request
     threads concurrently (the park-service daemon's deployment shape).
-    Cache and registry mutations happen under ``self._lock``; reads are
-    lock-free; concurrent misses on one key each compute the bit-identical
-    result and the first insertion wins. One caveat inherited from the
+    Registry mutations happen under ``self._lock``; the result cache locks
+    itself (concurrent misses on one key each compute the bit-identical
+    result and the first insertion wins). One caveat inherited from the
     predictor API: ``effort_response`` restores the predictor's
     ``uncertainty_scaler`` alongside each result, and that attribute lives
     on the (shared) predictor — concurrent queries over *different*
@@ -100,41 +99,25 @@ class RiskMapService:
                 "RiskMapService needs a fitted predictor (fit it, or load "
                 "one with RiskMapService.from_saved)"
             ) from None
-        if max_entries < 0:
-            raise ConfigurationError(f"max_entries must be >= 0, got {max_entries}")
         if tile_size is not None and int(tile_size) < 1:
             raise ConfigurationError(f"tile_size must be >= 1, got {tile_size}")
         resolve_n_jobs(n_jobs)
         self.predictor = predictor
-        self.max_entries = max_entries
         self.tile_size = None if tile_size is None else int(tile_size)
         self.n_jobs = n_jobs
         self.backend = check_backend(backend)
+        self._cache = LRUCache(max_entries)
         # Mutated only under self._lock (the @thread_shared contract, RP004):
         # one service instance is shared by every request thread of the
         # park-service daemon. Reads stay lock-free — single dict operations
-        # are atomic under the GIL and cached values are never mutated after
-        # insertion (results are copied out to callers).
+        # are atomic under the GIL.
         self._lock = threading.RLock()
-        self._cache: OrderedDict[str, tuple] = OrderedDict()
         #: name -> (array, registration-time digest); see register_features.
         self._registered: dict[str, tuple[np.ndarray, str]] = {}
         #: id(array) -> name, so passing the registered object skips hashing.
         self._registered_ids: dict[int, str] = {}
-        self._hits = 0
-        self._misses = 0
         #: Accumulated fan-out survival counters (the daemon's /stats feed).
         self._resilience = ResilienceStats()
-
-    @property
-    def hits(self) -> int:
-        """Cache hits served so far (read-only)."""
-        return self._hits
-
-    @property
-    def misses(self) -> int:
-        """Cache misses (i.e. computed queries) so far (read-only)."""
-        return self._misses
 
     # ------------------------------------------------------------------
     # Construction from a saved model
@@ -172,9 +155,10 @@ class RiskMapService:
         The SHA-256 content hash — linear in the matrix, tens of
         milliseconds per million cells — is computed **once**, here.
         Queries made with the returned token (or with the registered array
-        object itself) key the LRU by token + cheap metadata instead of
-        re-hashing the full matrix every call; unregistered arrays fall
-        back to per-query content hashing.
+        object itself) key the LRU by that registration-time digest instead
+        of re-hashing the full matrix every call; unregistered arrays fall
+        back to per-query content hashing, which yields the same key for
+        the same content.
 
         **Mutation contract**: the service keys the cache by the
         registration-time hash and does not re-inspect the array, so
@@ -196,20 +180,31 @@ class RiskMapService:
             self._registered_ids[id(features)] = name
         return name
 
+    def unregister_features(self, name: str) -> None:
+        """Forget the registration under ``name``, if any. Queries passing
+        the formerly registered array fall back to the content hash, which
+        gives the same cache key."""
+        with self._lock:
+            previous = self._registered.pop(name, None)
+            if previous is not None:
+                self._registered_ids.pop(id(previous[0]), None)
+
     def _resolve_features(self, features) -> tuple[np.ndarray, str]:
-        """``(array, cache-key part)`` for a token, registered, or ad-hoc query."""
+        """``(array, content digest)`` for a token, registered, or ad-hoc query."""
         if isinstance(features, str):
-            if features not in self._registered:
+            registered = self._registered.get(features)
+            if registered is None:
                 raise ConfigurationError(
                     f"no features registered under '{features}' "
                     "(call register_features first)"
                 )
-            array, digest = self._registered[features]
-            return array, f"token/{features}/{digest}"
+            return registered
         array = np.asarray(features, dtype=float)
-        name = self._registered_ids.get(id(array))
-        if name is not None and self._registered[name][0] is array:
-            return array, f"token/{name}/{self._registered[name][1]}"
+        # One read of each dict: a concurrent unregister_features may drop
+        # the entry between them, and then the array is simply hashed.
+        registered = self._registered.get(self._registered_ids.get(id(array)))
+        if registered is not None and registered[0] is array:
+            return registered
         return array, self._array_digest(array)
 
     # ------------------------------------------------------------------
@@ -236,30 +231,6 @@ class RiskMapService:
             else:
                 digest.update(cls._array_digest(np.asarray(part)).encode())
         return digest.hexdigest()
-
-    def _cached(self, key: str, compute) -> tuple:
-        if self.max_entries == 0:
-            return compute()
-        with self._lock:
-            if key in self._cache:
-                self._hits += 1
-                self._cache.move_to_end(key)
-                return self._cache[key]
-            self._misses += 1
-        # Compute outside the lock: concurrent misses on the same key both
-        # compute (bit-identical results by the determinism contract) and
-        # the incumbent insertion wins, so a slow model pass never blocks
-        # unrelated requests.
-        result = compute()
-        with self._lock:
-            incumbent = self._cache.get(key)
-            if incumbent is not None:
-                self._cache.move_to_end(key)
-                return incumbent
-            self._cache[key] = result
-            if len(self._cache) > self.max_entries:
-                self._cache.popitem(last=False)
-        return result
 
     def _absorb(self, stats: ResilienceStats) -> None:
         """Fold one request's fan-out stats into the service counters."""
@@ -291,9 +262,9 @@ class RiskMapService:
         (the daemon's degraded-dispatch path). Results are bit-identical
         across backends, so the cache key is unchanged.
         """
-        array, feature_key = self._resolve_features(features)
+        array, digest = self._resolve_features(features)
         effort_grid = np.asarray(effort_grid, dtype=float)
-        key = self._key("effort_response", feature_key, effort_grid)
+        key = self._key("effort_response", digest, effort_grid)
         chosen_backend = self.backend if backend is None else check_backend(backend)
 
         def compute():
@@ -308,7 +279,7 @@ class RiskMapService:
                     self._absorb(stats)
             return risk, nu, self.predictor.uncertainty_scaler
 
-        risk, nu, scaler = self._cached(key, compute)
+        risk, nu, scaler = self._cache.get_or_compute(key, compute)
         self.predictor._uncertainty_scaler = scaler
         return risk.copy(), nu.copy()
 
@@ -327,9 +298,9 @@ class RiskMapService:
         :meth:`effort_response`; ``deadline`` bounds a cache-miss compute
         and ``backend`` overrides the pool flavour the same way.
         """
-        array, feature_key = self._resolve_features(features)
+        array, digest = self._resolve_features(features)
         effort_tag = "none" if effort is None else repr(float(effort))
-        key = self._key(f"risk_map/{effort_tag}", feature_key)
+        key = self._key(f"risk_map/{effort_tag}", digest)
         chosen_backend = self.backend if backend is None else check_backend(backend)
 
         def compute():
@@ -344,20 +315,15 @@ class RiskMapService:
                     self._absorb(stats)
             return (risk,)
 
-        (risk,) = self._cached(key, compute)
+        (risk,) = self._cache.get_or_compute(key, compute)
         return risk.copy()
 
     # ------------------------------------------------------------------
     # Cache introspection
     # ------------------------------------------------------------------
     def cache_info(self) -> dict[str, int]:
-        """Hit/miss/size counters (for logs and benchmarks)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "entries": len(self._cache),
-            "max_entries": self.max_entries,
-        }
+        """Result-cache counters (:meth:`LRUCache.info`)."""
+        return self._cache.info()
 
     def resilience_info(self) -> dict:
         """Accumulated fan-out survival counters (the daemon's ``/stats``).
@@ -370,6 +336,5 @@ class RiskMapService:
             return self._resilience.as_dict()
 
     def clear_cache(self) -> None:
-        """Drop every cached result (counters are kept)."""
-        with self._lock:
-            self._cache.clear()
+        """Drop every cached result (hit/miss counters are kept)."""
+        self._cache.evict_all()

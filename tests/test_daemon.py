@@ -7,10 +7,12 @@ contracts and the unit semantics of each new runtime piece.
 
 from __future__ import annotations
 
+import gc
 import json
 import threading
 import urllib.error
 import urllib.request
+import weakref
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from repro.runtime.breaker import CircuitBreaker
 from repro.runtime.daemon import ParkServiceDaemon
 from repro.runtime.registry import ModelRegistry
 from repro.runtime.resilience import Deadline
+from repro.runtime.service import RiskMapService
 
 SEED = 0
 SCALE = 0.4
@@ -347,6 +350,93 @@ class TestModelRegistry:
             registry.entry("MFNP")
         assert registry.park_health()["MFNP"]["load_breaker"] == "open"
         assert registry.park_health()["MFNP"]["ok"] is False
+
+
+# ---------------------------------------------------------------------------
+# ParkEntry contexts
+# ---------------------------------------------------------------------------
+class TestParkEntryContexts:
+    """The per-entry ``(seed, scale)`` context cache and the feature
+    registrations its contexts hold in the entry's RiskMapService."""
+
+    @pytest.fixture
+    def entry(self, models_dir, park, monkeypatch):
+        # Every seed label serves the fixture park: the cache logic under
+        # test does not depend on the generated data, and this skips about
+        # a second of generate_dataset per seed.
+        monkeypatch.setattr(
+            "repro.data.generate_dataset", lambda profile, seed: park
+        )
+        return ModelRegistry(models_dir, n_jobs=1).entry("MFNP")
+
+    def test_contexts_capped_at_max_contexts(self, entry):
+        cap = entry.MAX_CONTEXTS
+        for seed in range(cap + 2):
+            entry.context(seed, SCALE)
+        entry.context(2, SCALE)  # a hit makes seed 2 the most recent
+        entry.context(cap + 2, SCALE)  # so seed 3 is evicted next
+        assert [key for key, __ in entry._contexts.snapshot()] == [
+            (seed, SCALE) for seed in [*range(4, cap + 2), 2, cap + 2]
+        ]
+        assert entry.stats()["contexts"] == {
+            "hits": 1, "misses": cap + 3, "evictions": 3, "entries": cap,
+            "capacity": cap,
+        }
+
+    def test_evicted_contexts_drop_their_registrations(self, entry):
+        for seed in range(10):
+            entry.context(seed, SCALE)
+        service = entry.service
+        assert len(service._registered) == entry.MAX_CONTEXTS
+        assert len(service._registered_ids) == entry.MAX_CONTEXTS
+        # Each live context's own array is registered, so requests passing
+        # it take the no-hash path.
+        for __, context in entry._contexts.snapshot():
+            assert service._registered[context.token][0] is context.features
+
+    def test_swapped_out_entry_is_freed_without_the_cycle_collector(
+        self, entry, models_dir, park
+    ):
+        """Nothing an entry owns refers back to it, so a hot-swap frees the
+        old model and its caches at once, not at the next cyclic GC."""
+        registry = ModelRegistry(models_dir, n_jobs=1)
+        old = registry.entry("MFNP")
+        old.risk_map(effort=1.5, seed=SEED, scale=SCALE)
+        old.plan(beta=0.5, post=int(park.park.patrol_posts[0]),
+                 seed=SEED, scale=SCALE)
+        alive = weakref.ref(old)
+        del old
+        gc.disable()
+        try:
+            registry.reload("MFNP")
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    def test_request_survives_eviction_of_its_context(
+        self, entry, park, monkeypatch
+    ):
+        """A request that resolved its context before the context was
+        evicted still serves the right array (no ConfigurationError)."""
+        resolve = entry.context
+
+        def resolve_then_evict(seed=0, scale=1.0):
+            context = resolve(seed, scale)
+            for other in range(1, entry.MAX_CONTEXTS + 1):
+                resolve(seed + other, scale)
+            assert context.token not in entry.service._registered
+            return context
+
+        monkeypatch.setattr(entry, "context", resolve_then_evict)
+        served = entry.risk_map(effort=1.5, seed=SEED, scale=SCALE)
+        predictor = entry.service.predictor
+        features = predictor.cell_feature_matrix(
+            park.park, park.recorded_effort[-1]
+        )
+        serial = RiskMapService(predictor, max_entries=0).risk_map(
+            features, effort=1.5
+        )
+        np.testing.assert_array_equal(served, serial)
 
 
 # ---------------------------------------------------------------------------

@@ -233,7 +233,8 @@ class TestStructureCache:
         __, graph, milp, utilities = make_instance(seed=21)
         milp.solve(utilities, mode="milp")
         assert milp.structure_cache_info() == {
-            "hits": 0, "misses": 1, "entries": 1
+            "hits": 0, "misses": 1, "evictions": 0, "entries": 1,
+            "capacity": STRUCTURE_CACHE_SIZE,
         }
         # A beta-sweep-style change: same xs, scaled ys.
         swept = {
@@ -241,7 +242,8 @@ class TestStructureCache:
         }
         milp.solve(swept, mode="milp")
         assert milp.structure_cache_info() == {
-            "hits": 1, "misses": 1, "entries": 1
+            "hits": 1, "misses": 1, "evictions": 0, "entries": 1,
+            "capacity": STRUCTURE_CACHE_SIZE,
         }
 
     def test_lp_and_milp_structures_are_distinct(self):
@@ -276,7 +278,8 @@ class TestStructureCache:
         }
         milp.solve(coarse, mode="milp")
         assert milp.structure_cache_info() == {
-            "hits": 0, "misses": 2, "entries": 2
+            "hits": 0, "misses": 2, "evictions": 0, "entries": 2,
+            "capacity": STRUCTURE_CACHE_SIZE,
         }
 
     def test_offender_sets_stay_bounded(self):
@@ -302,12 +305,14 @@ class TestStructureCache:
         info = milp.structure_cache_info()
         assert info["entries"] == STRUCTURE_CACHE_SIZE
         assert info["misses"] == len(selections)
+        assert info["evictions"] == len(selections) - STRUCTURE_CACHE_SIZE
         # The most recent key still hits; the oldest untouched one was evicted.
         milp.build_structure(utilities, binary_cells=selections[-1])
-        assert milp.structure_hits == info["hits"] + 1
+        assert milp.structure_cache_info()["hits"] == info["hits"] + 1
         milp.build_structure(utilities, binary_cells=selections[1])
-        assert milp.structure_misses == len(selections) + 1
-        assert milp.structure_cache_info()["entries"] == STRUCTURE_CACHE_SIZE
+        after = milp.structure_cache_info()
+        assert after["misses"] == len(selections) + 1
+        assert after["entries"] == STRUCTURE_CACHE_SIZE
 
 
 class TestRobustUtility:

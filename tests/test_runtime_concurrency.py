@@ -4,7 +4,8 @@ The contract under test (``repro.runtime.concurrency``, enforced
 statically by analyzer rule RP004): every class decorated
 ``@thread_shared`` mutates its private state only under ``self._lock``,
 so a daemon may share one :class:`RiskMapService` / :class:`PlanService`
-/ :class:`PatrolMILP` across request threads. These tests hammer the
+/ :class:`PatrolMILP` (whose structure cache is a self-locking
+``LRUCache``) across request threads. These tests hammer the
 caches from barrier-synchronised threads and pin three properties:
 
 * results are bit-identical to the serial path (caching must never
@@ -92,7 +93,7 @@ class TestThreadSharedDecorator:
         for name in (
             "repro.runtime.service.RiskMapService",
             "repro.planning.service.PlanService",
-            "repro.planning.milp.PatrolMILP",
+            "repro.runtime.concurrency.LRUCache",
         ):
             assert name in registered
 
@@ -182,7 +183,7 @@ class TestPlanServiceHammer:
 
         planners = run_threads(N_THREADS, lambda i: service.planner_for(post))
         assert all(p is planners[0] for p in planners)
-        assert len(service._planners) == 1
+        assert service._planners.info()["entries"] == 1
 
     def test_concurrent_plans_match_serial(self, setup, service):
         data, predictor, features = setup

@@ -270,17 +270,20 @@ class TestFeatureRegistration:
         token = service.register_features("park", features)
         r1, n1 = service.effort_response(token, self.GRID)
         r2, n2 = service.effort_response(token, self.GRID)
-        assert service.hits == 1 and service.misses == 1
+        info = service.cache_info()
+        assert info["hits"] == 1 and info["misses"] == 1
         np.testing.assert_array_equal(r1, r2)
         np.testing.assert_array_equal(n1, n2)
 
     def test_token_and_array_queries_share_entries(self, gpb_iw, features):
-        """Passing the registered array object keys by token, not content."""
+        """Passing the registered array object keys by the registration-time
+        digest, without re-hashing."""
         service = RiskMapService(gpb_iw)
         token = service.register_features("park", features)
         service.effort_response(token, self.GRID)
         service.effort_response(features, self.GRID)
-        assert service.hits == 1 and service.misses == 1
+        info = service.cache_info()
+        assert info["hits"] == 1 and info["misses"] == 1
 
     def test_token_matches_ad_hoc_result(self, gpb_iw, features):
         service = RiskMapService(gpb_iw)
@@ -309,7 +312,7 @@ class TestFeatureRegistration:
         before, __ = service.effort_response(token, self.GRID)
         mutable[:, -1] += 1.0
         stale, __ = service.effort_response(token, self.GRID)
-        assert service.hits == 1
+        assert service.cache_info()["hits"] == 1
         np.testing.assert_array_equal(stale, before)
 
     def test_reregistering_after_mutation_refreshes(self, gpb_iw, features):
@@ -320,18 +323,36 @@ class TestFeatureRegistration:
         mutable[:, -1] += 1.0
         token = service.register_features("park", mutable)
         fresh, __ = service.effort_response(token, self.GRID)
-        assert service.misses == 2
+        assert service.cache_info()["misses"] == 2
         expected, __ = RiskMapService(gpb_iw, max_entries=0).effort_response(
             mutable, self.GRID
         )
         np.testing.assert_array_equal(fresh, expected)
+
+    def test_unregistered_array_keeps_its_cache_entries(
+        self, gpb_iw, features
+    ):
+        """After unregister_features, the token is gone but the array
+        itself still serves: its content hash is the key it had."""
+        service = RiskMapService(gpb_iw)
+        token = service.register_features("park", features)
+        before, __ = service.effort_response(features, self.GRID)
+        service.unregister_features(token)
+        with pytest.raises(ConfigurationError):
+            service.effort_response(token, self.GRID)
+        after, __ = service.effort_response(features, self.GRID)
+        np.testing.assert_array_equal(after, before)
+        info = service.cache_info()
+        assert info["hits"] == 1 and info["misses"] == 1
+        assert service._registered == {} and service._registered_ids == {}
 
     def test_ad_hoc_arrays_still_content_hash(self, gpb_iw, features):
         """Unregistered queries keep the old behaviour: equal content hits."""
         service = RiskMapService(gpb_iw)
         service.effort_response(features.copy(), self.GRID)
         service.effort_response(features.copy(), self.GRID)
-        assert service.hits == 1 and service.misses == 1
+        info = service.cache_info()
+        assert info["hits"] == 1 and info["misses"] == 1
 
     def test_risk_map_accepts_tokens(self, gpb_iw, features):
         service = RiskMapService(gpb_iw)
@@ -341,7 +362,7 @@ class TestFeatureRegistration:
             got, gpb_iw.predict_proba(features, effort=2.0)
         )
         service.risk_map(token, effort=2.0)
-        assert service.hits == 1
+        assert service.cache_info()["hits"] == 1
 
 
 # ---------------------------------------------------------------------------
