@@ -255,9 +255,13 @@ class IWareEnsemble:
         rate; the odds-ratio correction (Elkan 2001) maps all of them onto
         the unfiltered prior so they can be mixed on a common scale.
         """
-        probs = self.member_probabilities(
-            X, tile_size=tile_size, n_jobs=n_jobs, backend=backend
+        return self._corrected(
+            self.member_probabilities(
+                X, tile_size=tile_size, n_jobs=n_jobs, backend=backend
+            )
         )
+
+    def _corrected(self, probs: np.ndarray) -> np.ndarray:
         assert self.subset_positive_rates_ is not None
         assert self.full_positive_rate_ is not None
         return _prior_correct(
@@ -322,46 +326,24 @@ class IWareEnsemble:
         variances = np.stack([v for __, v in stats])
         return probs, variances
 
-    def batched_effort_response(
-        self,
-        X: np.ndarray,
-        effort_grid: np.ndarray,
-        tile_size: int | None = None,
-        n_jobs: int | None = 1,
-        backend: str = "auto",
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Risk and raw variance surfaces over a whole effort grid at once.
+    def mix_grid(self, values: np.ndarray, effort_grid: np.ndarray) -> np.ndarray:
+        """``(n, L)`` mixtures of ``(I, n)`` member values over an effort grid.
 
-        The per-level path re-runs every ensemble member for every effort
-        level, although member predictions do not depend on the hypothesised
-        effort at all — effort only selects which members are *qualified* to
-        vote. Here member statistics are computed once (tiled and parallel
-        when requested; see :meth:`member_statistics`) and the per-level
-        mixtures collapse to two ``(n, I) @ (I, L)`` products.
-
-        Returns
-        -------
-        (risk, raw_variance):
-            Two ``(n, len(effort_grid))`` arrays matching per-level
-            ``predict_proba`` / ``predict_variance`` calls to within
-            floating-point reduction order — and matching the untiled,
-            serial batched path *exactly*, whatever the tile size, worker
-            count, or pool flavour.
+        Member predictions do not depend on the hypothesised effort at all —
+        effort only selects which members are *qualified* to vote — so one
+        member pass (see :meth:`member_statistics`) serves every level, and
+        the per-level mixtures collapse to one ``(n, I) @ (I, L)`` product.
+        The result matches per-level :meth:`_mix` calls to within
+        floating-point reduction order.
         """
-        assert self.weights_ is not None and self.thresholds_ is not None
-        effort_grid = np.asarray(effort_grid, dtype=float)
-        probs, variances = self.member_statistics(
-            X, tile_size=tile_size, n_jobs=n_jobs, backend=backend
-        )
+        assert self.weights_ is not None
         # (I, L) qualification per effort level — the same rule the
         # per-level path applies per point, evaluated once per grid level.
         mask = self._qualification(effort_grid, effort_grid.size)
         weighted = self.weights_[:, None] * mask
         denom = weighted.sum(axis=0)
         denom[denom <= 0] = 1.0
-        risk = probs.T @ weighted / denom
-        raw_var = variances.T @ weighted / denom
-        return risk, raw_var
+        return values.T @ weighted / denom
 
     def _qualification(self, effort: np.ndarray | float | None, n: int) -> np.ndarray:
         """``(I, n)`` boolean mask of classifiers qualified per point.
@@ -413,19 +395,22 @@ class IWareEnsemble:
             Serving fan-out controls (see :meth:`member_statistics`); the
             mixed map is bit-identical for every combination.
         """
-        if effort is None:
-            return self._mix(
-                self.corrected_member_probabilities(
-                    X, tile_size=tile_size, n_jobs=n_jobs, backend=backend
-                ),
-                None,
-            )
-        return self._mix(
+        return self.mix_proba(
             self.member_probabilities(
                 X, tile_size=tile_size, n_jobs=n_jobs, backend=backend
             ),
             effort,
         )
+
+    def mix_proba(
+        self, probs: np.ndarray, effort: np.ndarray | float | None = None
+    ) -> np.ndarray:
+        """:meth:`predict_proba`'s mixing of ``(I, n)`` raw member
+        probabilities: prior-corrected when ``effort`` is ``None``, else
+        restricted to the members qualified at ``effort``."""
+        if effort is None:
+            return self._mix(self._corrected(probs), None)
+        return self._mix(probs, effort)
 
     def predict_variance(
         self,

@@ -313,6 +313,8 @@ class PawsPredictor:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Risk and squashed uncertainty across hypothetical effort levels.
 
+        One :meth:`member_surfaces` pass mixed by :meth:`mix_grid`.
+
         Parameters
         ----------
         features:
@@ -337,111 +339,109 @@ class PawsPredictor:
             Two ``(n_cells, len(effort_grid))`` arrays: ``g_v(c)`` and
             ``nu_v(c) in [0, 1]``.
         """
-        self._check_fitted()
-        effort_grid = np.asarray(effort_grid, dtype=float)
-        if effort_grid.ndim != 1 or effort_grid.size == 0:
-            raise ConfigurationError("effort_grid must be a non-empty 1-D array")
-        if (np.diff(effort_grid) < 0).any():
-            raise ConfigurationError("effort_grid must be nondecreasing")
-        if batched:
-            risk, raw_var = self._effort_surfaces_batched(
-                features, effort_grid, tile_size, n_jobs, backend
-            )
-        else:
-            risk, raw_var = self._effort_surfaces_per_level(
-                features, effort_grid, tile_size, n_jobs, backend
-            )
-        # With zero patrol effort nothing can be detected: the training data
-        # only contains patrolled points, so the model has no c=0 regime and
-        # g_v(0) must be anchored at 0 (Pr[o=1 | c=0] = 0 by construction).
-        risk[:, effort_grid == 0.0] = 0.0
-        self._uncertainty_scaler = UncertaintyScaler().fit(raw_var.ravel())
-        nu = self._uncertainty_scaler.transform(raw_var)
-        return risk, nu
+        return self.mix_grid(
+            self.member_surfaces(features, tile_size, n_jobs, backend),
+            effort_grid, batched=batched,
+        )
 
-    def _member_surfaces(
+    def member_surfaces(
         self,
         features: np.ndarray,
-        tile_size: int | None,
-        n_jobs: int | None,
-        backend: str,
+        tile_size: int | None = None,
+        n_jobs: int | None = 1,
+        backend: str = "auto",
     ) -> tuple[np.ndarray, np.ndarray]:
-        """One tiled model pass shared by both effort-surface mixings."""
+        """The effort-free model pass every effort mix starts from.
+
+        Returns ``(probabilities, raw variances)``: ``(I, n)`` per threshold
+        classifier for iWare-E models, ``(n,)`` for flat ones. Member
+        predictions do not depend on the hypothesised effort — effort only
+        selects which members vote — so one pass serves :meth:`mix_effort`
+        and :meth:`mix_grid` at any effort. ``tile_size`` / ``n_jobs`` /
+        ``backend`` drive the ``(member x tile)`` fan-out; every combination
+        is bit-identical.
+        """
+        self._check_fitted()
         if self._ensemble is not None:
             return self._ensemble.member_statistics(
                 features, tile_size=tile_size, n_jobs=n_jobs, backend=backend
             )
         assert self._flat_model is not None
         if isinstance(self._flat_model, BaggingClassifier):
-            proba, raw_var = self._flat_model.prediction_stats(
+            return self._flat_model.prediction_stats(
                 features, tile_size=tile_size, n_jobs=n_jobs, backend=backend
             )
-        else:
-            from repro.runtime.parallel import predict_map
+        from repro.runtime.parallel import predict_map
 
-            proba, raw_var = predict_map(
-                [self._flat_model], features,
-                tile_size=tile_size, n_jobs=n_jobs, backend=backend,
-            )[0]
-        return proba, raw_var
+        return predict_map(
+            [self._flat_model], features,
+            tile_size=tile_size, n_jobs=n_jobs, backend=backend,
+        )[0]
 
-    def _effort_surfaces_batched(
-        self,
-        features: np.ndarray,
-        effort_grid: np.ndarray,
-        tile_size: int | None = None,
-        n_jobs: int | None = 1,
-        backend: str = "auto",
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One ensemble pass for the whole grid (see ``batched_effort_response``)."""
-        if self._ensemble is not None:
-            return self._ensemble.batched_effort_response(
-                features, effort_grid,
-                tile_size=tile_size, n_jobs=n_jobs, backend=backend,
-            )
-        # Flat models ignore the hypothesised effort entirely: one
-        # prediction pass, broadcast across the grid.
-        proba, raw_var = self._member_surfaces(features, tile_size, n_jobs, backend)
-        n_levels = effort_grid.size
-        return (
-            np.repeat(proba[:, None], n_levels, axis=1),
-            np.repeat(raw_var[:, None], n_levels, axis=1),
-        )
+    def mix_effort(
+        self, surfaces: tuple[np.ndarray, np.ndarray], effort: float | None = None
+    ) -> np.ndarray:
+        """The risk map at one effort from a :meth:`member_surfaces` pass.
 
-    def _effort_surfaces_per_level(
-        self,
-        features: np.ndarray,
-        effort_grid: np.ndarray,
-        tile_size: int | None = None,
-        n_jobs: int | None = 1,
-        backend: str = "auto",
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-level mixing over one shared member pass.
-
-        Member predictions do not depend on the hypothesised effort, so the
-        model pass runs once — through the same tiled engine as the batched
-        path — and only the qualification mixing repeats per level. Output
-        equals the historical one-full-prediction-per-level loop bit for
-        bit, at the cost of one member sweep instead of ``len(effort_grid)``.
+        Bit-identical to ``predict_proba(features, effort=effort)``:
+        ``None`` mixes prior-corrected probabilities of every member, a
+        value mixes the members qualified at that effort. Flat models
+        ignore the effort.
         """
-        probs, raw_vars = self._member_surfaces(
-            features, tile_size, n_jobs, backend
-        )
+        if effort is not None:
+            effort = float(effort)
+            if not np.isfinite(effort) or effort < 0.0:
+                raise ConfigurationError(
+                    f"effort must be a finite number >= 0, got {effort}"
+                )
+        probs = surfaces[0]
         if self._ensemble is None:
+            return probs.copy()
+        return self._ensemble.mix_proba(probs, effort)
+
+    def mix_grid(
+        self,
+        surfaces: tuple[np.ndarray, np.ndarray],
+        effort_grid: np.ndarray,
+        batched: bool = True,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(risk, uncertainty)`` over an effort grid from a
+        :meth:`member_surfaces` pass (see :meth:`effort_response`).
+
+        Fits the :attr:`uncertainty_scaler` that squashes the raw variances.
+        """
+        effort_grid = np.asarray(effort_grid, dtype=float)
+        if effort_grid.ndim != 1 or effort_grid.size == 0:
+            raise ConfigurationError("effort_grid must be a non-empty 1-D array")
+        if not np.isfinite(effort_grid).all():
+            raise ConfigurationError("effort_grid must be finite")
+        if (np.diff(effort_grid) < 0).any():
+            raise ConfigurationError("effort_grid must be nondecreasing")
+        probs, raw_vars = surfaces
+        if self._ensemble is None:
+            # Flat models ignore the hypothesised effort entirely: one
+            # prediction pass, broadcast across the grid.
             n_levels = effort_grid.size
-            return (
-                np.repeat(probs[:, None], n_levels, axis=1),
-                np.repeat(raw_vars[:, None], n_levels, axis=1),
+            risk = np.repeat(probs[:, None], n_levels, axis=1)
+            raw_var = np.repeat(raw_vars[:, None], n_levels, axis=1)
+        elif batched:
+            risk = self._ensemble.mix_grid(probs, effort_grid)
+            raw_var = self._ensemble.mix_grid(raw_vars, effort_grid)
+        else:
+            risk = np.stack(
+                [self._ensemble._mix(probs, float(c)) for c in effort_grid],
+                axis=1,
             )
-        risk = np.stack(
-            [self._ensemble._mix(probs, float(c)) for c in effort_grid],
-            axis=1,
-        )
-        raw_var = np.stack(
-            [self._ensemble._mix(raw_vars, float(c)) for c in effort_grid],
-            axis=1,
-        )
-        return risk, raw_var
+            raw_var = np.stack(
+                [self._ensemble._mix(raw_vars, float(c)) for c in effort_grid],
+                axis=1,
+            )
+        # With zero patrol effort nothing can be detected: the training data
+        # only contains patrolled points, so the model has no c=0 regime and
+        # g_v(0) must be anchored at 0 (Pr[o=1 | c=0] = 0 by construction).
+        risk[:, effort_grid == 0.0] = 0.0
+        self._uncertainty_scaler = UncertaintyScaler().fit(raw_var.ravel())
+        return risk, self._uncertainty_scaler.transform(raw_var)
 
     @property
     def uncertainty_scaler(self) -> UncertaintyScaler | None:

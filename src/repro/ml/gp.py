@@ -20,6 +20,7 @@ real deployments.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from repro.exceptions import ConfigurationError, ConvergenceError
 from repro.ml.base import Classifier
@@ -196,7 +197,10 @@ class GaussianProcessClassifier(Classifier):
         # einsum keeps the reduction over the training rows in a fixed
         # order for every tile width, unlike the width-specialised GEMV.
         mean = np.einsum("ij,i->j", k_star, self._grad_at_mode)
-        v = np.linalg.solve(self._chol_b, self._sqrt_w[:, None] * k_star)
+        v = solve_triangular(
+            self._chol_b, self._sqrt_w[:, None] * k_star, lower=True,
+            check_finite=False,
+        )
         var = self._fitted_kernel.diag(Xs) + self.jitter - np.einsum("ij,ij->j", v, v)
         return mean[:n], np.maximum(var[:n], 0.0)
 

@@ -36,6 +36,7 @@ call's array — the chaos suite asserts exactly that.
 from __future__ import annotations
 
 import json
+import math
 import signal
 import sys
 import threading
@@ -104,6 +105,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-park-service"
+    # Headers and body go out as separate writes; with Nagle's algorithm on,
+    # the body waits for the client's delayed ACK of the headers (~40 ms
+    # per keep-alive response).
+    disable_nagle_algorithm = True
 
     # Quiet by default: one line per request on stderr only when verbose.
     def log_message(self, fmt, *args):  # noqa: A002 - stdlib signature
@@ -400,11 +405,17 @@ class ParkServiceDaemon:
         if raw is None:
             return default
         try:
-            return cast(raw)
+            value = cast(raw)
         except (TypeError, ValueError):
             raise _HTTPError(
                 400, {"error": f"invalid value for '{name}': '{raw}'"}
             ) from None
+        # nan/inf would echo back as the non-JSON tokens NaN/Infinity.
+        if isinstance(value, float) and not math.isfinite(value):
+            raise _HTTPError(
+                400, {"error": f"'{name}' must be finite, got '{raw}'"}
+            )
+        return value
 
     def _park_entry(self, params: dict, deadline=None):
         park = params.get("park")

@@ -266,6 +266,7 @@ class ParkEntry:
             "degraded": self.degraded(),
             "dispatch_breaker": self.dispatch_breaker.info(),
             "cache": self.service.cache_info(),
+            "members": self.service.member_cache_info(),
             "resilience": self.service.resilience_info(),
             "plan_resilience": (
                 plan_info.as_dict() if plan_info is not None else None

@@ -80,9 +80,12 @@ class Deadline:
 
     def __init__(self, seconds: float):
         seconds = float(seconds)
-        if not seconds > 0.0:
+        # A pooled fan-out waits with timeout=remaining(); a wait beyond
+        # TIMEOUT_MAX (inf included) raises OverflowError.
+        if not 0.0 < seconds <= threading.TIMEOUT_MAX:
             raise ConfigurationError(
-                f"deadline must be > 0 seconds, got {seconds}"
+                f"deadline must be > 0 and <= {threading.TIMEOUT_MAX:.0f} "
+                f"seconds, got {seconds}"
             )
         self.seconds = seconds
         self._expires_at = time.monotonic() + seconds

@@ -6,15 +6,22 @@ effort-response surfaces, dashboards re-render the same maps, and planners
 re-solve under different robustness weights. :class:`RiskMapService` wraps a
 fitted :class:`~repro.core.predictor.PawsPredictor` with
 
-* the **batched** effort-response path (one ensemble pass per request
-  instead of one per effort level),
+* a **member-pass cache**: member predictions do not depend on the
+  hypothesised effort (effort only selects which iWare-E members vote), so
+  each feature set pays one effort-free model pass
+  (:meth:`~repro.core.predictor.PawsPredictor.member_surfaces`), and every
+  ``risk_map`` effort and ``effort_response`` grid is a cheap weighted mix
+  of it (:meth:`~repro.core.predictor.PawsPredictor.mix_effort`,
+  :meth:`~repro.core.predictor.PawsPredictor.mix_grid`) — bit-identical to
+  ``predict_proba`` / ``effort_response`` on the features,
 * the **tiled, parallel** prediction engine (``tile_size`` bounds transient
   memory at ``O(n_train x tile)``; ``n_jobs`` spreads ``(member x tile)``
   tasks over the hint-selected pool — surfaces are bit-identical to the
   serial, untiled path at any setting),
 * an **LRU result cache** (:class:`~repro.runtime.concurrency.LRUCache`)
-  keyed on the request arrays, so repeated queries (the common case: same
-  park features, same planner breakpoints) cost a dictionary lookup, and
+  in front of it, keyed on the request arrays, so repeated queries (the
+  common case: same park features, same planner breakpoints) cost a
+  dictionary lookup, and
 * **feature registration**: parks whose feature matrix is served over and
   over register it once (:meth:`register_features`), paying the SHA-256
   content hash at registration instead of on every query.
@@ -52,8 +59,8 @@ class RiskMapService:
 
     The service is ``@thread_shared``: one instance may serve many request
     threads concurrently (the park-service daemon's deployment shape).
-    Registry mutations happen under ``self._lock``; the result cache locks
-    itself (concurrent misses on one key each compute the bit-identical
+    Registry mutations happen under ``self._lock``; both caches lock
+    themselves (concurrent misses on one key each compute the bit-identical
     result and the first insertion wins). One caveat inherited from the
     predictor API: ``effort_response`` restores the predictor's
     ``uncertainty_scaler`` alongside each result, and that attribute lives
@@ -65,7 +72,9 @@ class RiskMapService:
     predictor:
         A fitted :class:`~repro.core.predictor.PawsPredictor`.
     max_entries:
-        LRU capacity; each entry holds one query's result arrays. Zero
+        Capacity of each LRU: the result cache holds one query's result
+        arrays per entry, the member-pass cache one feature set's
+        ``(probabilities, variances)`` (``2 x I x n_cells`` floats). Zero
         disables caching.
     tile_size:
         Rows per prediction tile (``None`` = untiled). Bounds the serving
@@ -107,6 +116,8 @@ class RiskMapService:
         self.n_jobs = n_jobs
         self.backend = check_backend(backend)
         self._cache = LRUCache(max_entries)
+        #: feature content digest -> one member_surfaces pass.
+        self._members = LRUCache(max_entries)
         # Mutated only under self._lock (the @thread_shared contract, RP004):
         # one service instance is shared by every request thread of the
         # park-service daemon. Reads stay lock-free — single dict operations
@@ -237,6 +248,29 @@ class RiskMapService:
         with self._lock:
             self._resilience.merge(stats)
 
+    def _member_surfaces(
+        self, array: np.ndarray, digest: str, deadline, backend: str
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The cached effort-free member pass over one feature set.
+
+        Keyed by the feature content digest alone: every effort and grid
+        over the same features mixes from the same pass. A miss runs under
+        the request's ``deadline`` and folds its fan-out stats into the
+        service counters; an overrun caches nothing.
+        """
+
+        def compute():
+            with deadline_scope(deadline), collect_stats() as stats:
+                try:
+                    return self.predictor.member_surfaces(
+                        array, tile_size=self.tile_size, n_jobs=self.n_jobs,
+                        backend=backend,
+                    )
+                finally:
+                    self._absorb(stats)
+
+        return self._members.get_or_compute(digest, compute)
+
     def effort_response(
         self,
         features,
@@ -253,14 +287,14 @@ class RiskMapService:
         hits, so it always matches the surfaces just returned — exactly as
         if the query had been recomputed.
 
-        ``deadline`` bounds the compute on a cache miss (seconds, or a
-        shared :class:`~repro.runtime.resilience.Deadline`); an overrun
-        raises :class:`~repro.exceptions.DeadlineExceededError` and caches
-        nothing. Hits return immediately regardless.
+        ``deadline`` bounds the member pass on a miss of both caches
+        (seconds, or a shared :class:`~repro.runtime.resilience.Deadline`);
+        an overrun raises :class:`~repro.exceptions.DeadlineExceededError`
+        and caches nothing. Hits return immediately regardless.
 
         ``backend`` overrides the service's pool flavour for this one query
         (the daemon's degraded-dispatch path). Results are bit-identical
-        across backends, so the cache key is unchanged.
+        across backends, so the cache keys are unchanged.
         """
         array, digest = self._resolve_features(features)
         effort_grid = np.asarray(effort_grid, dtype=float)
@@ -268,15 +302,10 @@ class RiskMapService:
         chosen_backend = self.backend if backend is None else check_backend(backend)
 
         def compute():
-            with deadline_scope(deadline), collect_stats() as stats:
-                try:
-                    risk, nu = self.predictor.effort_response(
-                        array, effort_grid,
-                        tile_size=self.tile_size, n_jobs=self.n_jobs,
-                        backend=chosen_backend,
-                    )
-                finally:
-                    self._absorb(stats)
+            risk, nu = self.predictor.mix_grid(
+                self._member_surfaces(array, digest, deadline, chosen_backend),
+                effort_grid,
+            )
             return risk, nu, self.predictor.uncertainty_scaler
 
         risk, nu, scaler = self._cache.get_or_compute(key, compute)
@@ -294,9 +323,10 @@ class RiskMapService:
 
         ``effort=None`` gives the unconditional (prior-corrected) map; a
         value conditions on that hypothetical patrol effort, as in the
-        Fig. 6 risk maps. ``features`` may be a token, as in
-        :meth:`effort_response`; ``deadline`` bounds a cache-miss compute
-        and ``backend`` overrides the pool flavour the same way.
+        Fig. 6 risk maps. A non-finite or negative effort raises
+        :class:`~repro.exceptions.ConfigurationError`. ``features`` may be a
+        token, as in :meth:`effort_response`; ``deadline`` bounds the member
+        pass and ``backend`` overrides the pool flavour the same way.
         """
         array, digest = self._resolve_features(features)
         effort_tag = "none" if effort is None else repr(float(effort))
@@ -304,16 +334,10 @@ class RiskMapService:
         chosen_backend = self.backend if backend is None else check_backend(backend)
 
         def compute():
-            with deadline_scope(deadline), collect_stats() as stats:
-                try:
-                    risk = self.predictor.predict_proba(
-                        array, effort=effort,
-                        tile_size=self.tile_size, n_jobs=self.n_jobs,
-                        backend=chosen_backend,
-                    )
-                finally:
-                    self._absorb(stats)
-            return (risk,)
+            return (self.predictor.mix_effort(
+                self._member_surfaces(array, digest, deadline, chosen_backend),
+                effort,
+            ),)
 
         (risk,) = self._cache.get_or_compute(key, compute)
         return risk.copy()
@@ -325,10 +349,14 @@ class RiskMapService:
         """Result-cache counters (:meth:`LRUCache.info`)."""
         return self._cache.info()
 
+    def member_cache_info(self) -> dict[str, int]:
+        """Member-pass cache counters (:meth:`LRUCache.info`)."""
+        return self._members.info()
+
     def resilience_info(self) -> dict:
         """Accumulated fan-out survival counters (the daemon's ``/stats``).
 
-        Counts what every cache-miss compute survived: retries, worker
+        Counts what every member-pass compute survived: retries, worker
         deaths, degradations, pickle fallbacks, deadline overruns, and the
         completion backend of each fan-out. All zeros on a healthy host.
         """
@@ -336,5 +364,7 @@ class RiskMapService:
             return self._resilience.as_dict()
 
     def clear_cache(self) -> None:
-        """Drop every cached result (hit/miss counters are kept)."""
+        """Drop every cached result and member pass (hit/miss counters are
+        kept)."""
         self._cache.evict_all()
+        self._members.evict_all()

@@ -8,8 +8,10 @@ contracts and the unit semantics of each new runtime piece.
 from __future__ import annotations
 
 import gc
+import http.client
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 import weakref
@@ -65,14 +67,23 @@ def daemon(models_dir):
     d.close()
 
 
+def _strict_json(raw: bytes):
+    """Parse RFC 8259 JSON: reject the NaN/Infinity tokens json accepts."""
+
+    def reject(token):
+        raise ValueError(f"non-JSON token {token} in response body")
+
+    return json.loads(raw, parse_constant=reject)
+
+
 def http_get(daemon, path, timeout=30.0):
     """(status, parsed json body) for one GET against the daemon."""
     url = f"http://127.0.0.1:{daemon.port}{path}"
     try:
         with urllib.request.urlopen(url, timeout=timeout) as response:
-            return response.status, json.loads(response.read())
+            return response.status, _strict_json(response.read())
     except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read())
+        return error.code, _strict_json(error.read())
 
 
 def http_post(daemon, path, timeout=60.0):
@@ -491,7 +502,7 @@ class TestDaemonHTTP:
         assert "park" in body["error"]
 
     def test_bad_deadline_values_400(self, daemon):
-        for value in ("0", "-3", "banana"):
+        for value in ("0", "-3", "banana", "nan", "inf", "1e300"):
             status, body = http_get(daemon, f"/riskmap?park=MFNP&deadline={value}")
             assert status == 400, value
             assert "deadline" in body["error"]
@@ -512,6 +523,60 @@ class TestDaemonHTTP:
         assert after["version"] == body["version"]
         assert after["risk"] == before["risk"]  # same model bytes, same map
 
+    @pytest.mark.parametrize("route,name,value", [
+        ("riskmap", "effort", "nan"),
+        ("riskmap", "effort", "inf"),
+        ("riskmap", "effort", "-inf"),
+        ("riskmap", "scale", "nan"),
+        ("riskmap", "scale", "inf"),
+        ("plan", "beta", "nan"),
+    ])
+    def test_nonfinite_float_params_400(self, daemon, route, name, value):
+        status, body = http_get(
+            daemon, f"/{route}?park=MFNP&scale={SCALE}&{name}={value}"
+        )
+        assert status == 400
+        assert f"'{name}'" in body["error"]
+
+    def test_negative_effort_400(self, daemon):
+        status, body = http_get(
+            daemon, f"/riskmap?park=MFNP&seed={SEED}&scale={SCALE}&effort=-1"
+        )
+        assert status == 400
+        assert body["kind"] == "ConfigurationError"
+        assert "effort" in body["error"]
+
+    def test_stats_report_the_member_cache(self, daemon):
+        for effort in ("0.5", "1.0", "2.0"):
+            status, __ = http_get(
+                daemon,
+                f"/riskmap?park=MFNP&seed={SEED}&scale={SCALE}&effort={effort}",
+            )
+            assert status == 200
+        status, body = http_get(daemon, "/stats")
+        members = body["parks"]["MFNP"]["members"]
+        assert set(members) == set(body["parks"]["MFNP"]["cache"])
+        assert members["misses"] == 1 and members["hits"] == 2
+
+    def test_keep_alive_responses_are_not_delayed(self, daemon):
+        """Headers and body are two writes: with Nagle's algorithm on, the
+        body waits for the client's delayed ACK (~40 ms per response)."""
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", daemon.port, timeout=30
+        )
+        took = []
+        try:
+            for __ in range(9):
+                start = time.perf_counter()
+                connection.request("GET", "/ready")
+                response = connection.getresponse()
+                response.read()
+                took.append(time.perf_counter() - start)
+                assert response.status == 200
+        finally:
+            connection.close()
+        assert sorted(took)[len(took) // 2] < 0.02
+
     def test_reload_unknown_park_404(self, daemon):
         status, __ = http_post(daemon, "/models/YELLOWSTONE/reload")
         assert status == 404
@@ -520,6 +585,39 @@ class TestDaemonHTTP:
         stats = daemon.drain()
         assert stats["admission"]["draining"] is True
         assert daemon.drain() is stats  # idempotent: same final snapshot
+
+    def test_reload_to_new_model_serves_its_bits(self, park, tmp_path):
+        """The swapped-in model starts with a fresh member cache: an effort
+        never seen before the reload mixes the new model's members."""
+        split = park.dataset.split_by_test_year(4)
+        old, new = (
+            PawsPredictor(
+                model="dtb", iware=True, n_classifiers=2, n_estimators=2,
+                seed=seed,
+            ).fit(split.train)
+            for seed in (5, 6)
+        )
+        old.save(tmp_path / "MFNP")
+        d = ParkServiceDaemon(
+            tmp_path, port=0, registry_options={"n_jobs": 1}
+        ).start()
+        try:
+            query = f"/riskmap?park=MFNP&seed={SEED}&scale={SCALE}"
+            status, __ = http_get(d, query + "&effort=1.0")
+            assert status == 200
+            new.save(tmp_path / "MFNP")
+            status, __ = http_post(d, "/models/MFNP/reload")
+            assert status == 200
+            status, body = http_get(d, query + "&effort=2.25")
+            assert status == 200
+        finally:
+            d.close()
+        features = new.cell_feature_matrix(park.park, park.recorded_effort[-1])
+        expected = new.predict_proba(features, effort=2.25)
+        np.testing.assert_array_equal(np.array(body["risk"]), expected)
+        assert not np.array_equal(
+            expected, old.predict_proba(features, effort=2.25)
+        )
 
     def test_rejects_nonpositive_default_deadline(self, models_dir):
         with pytest.raises(ConfigurationError, match="default_deadline"):

@@ -39,6 +39,22 @@ class TestDeadline:
         with pytest.raises(ConfigurationError):
             Deadline(seconds)
 
+    @pytest.mark.parametrize("seconds", [float("inf"), 1e300])
+    def test_rejects_budgets_no_pool_wait_can_take(self, seconds):
+        with pytest.raises(ConfigurationError):
+            Deadline(seconds)
+
+    def test_longest_budget_still_runs_a_pooled_fan_out(self):
+        def slow_negate(x):
+            time.sleep(0.05)  # the fan-out really waits on its futures
+            return -x
+
+        results = supervised_map(
+            slow_negate, [1, 2, 3], workers=2, backend="thread",
+            deadline=threading.TIMEOUT_MAX,
+        )
+        assert results == [-1, -2, -3]
+
     def test_remaining_counts_down(self):
         budget = Deadline(60.0)
         first = budget.remaining()

@@ -16,14 +16,20 @@ import numpy as np
 import pytest
 
 from repro.core import PawsPredictor
+from repro.core.uncertainty import UncertaintyScaler
 from repro.data import MFNP, generate_dataset
-from repro.exceptions import ConfigurationError, NotFittedError
+from repro.exceptions import (
+    ConfigurationError,
+    DeadlineExceededError,
+    NotFittedError,
+)
 from repro.ml import (
     BaggingClassifier,
     DecisionTreeClassifier,
     GaussianProcessClassifier,
 )
 from repro.runtime import RiskMapService, parallel_map, resolve_n_jobs
+from repro.runtime.resilience import collect_stats
 
 from tests.conftest import make_blobs
 
@@ -270,3 +276,156 @@ class TestRiskMapService:
         service.risk_map(X, effort=1.0)
         service.clear_cache()
         assert service.cache_info()["entries"] == 0
+        assert service.member_cache_info()["entries"] == 0
+
+
+# ---------------------------------------------------------------------------
+# Member-pass cache: every effort is a mix of one cached model pass
+# ---------------------------------------------------------------------------
+MEMBER_MODELS = {
+    "GPB-iW": {"model": "gpb"},
+    "DTB-iW": {"model": "dtb"},
+    "DTB-iW-balanced": {"model": "dtb", "balanced": True},
+    "GPB": {"model": "gpb", "iware": False},
+    "DTB": {"model": "dtb", "iware": False},
+}
+EFFORTS = (None, 0.0, 0.35, 1.5, 4.0, 50.0)
+GRID = np.array([0.0, 0.5, 1.5, 1.5, 4.0])
+
+
+@pytest.fixture(scope="module")
+def member_models(park_split):
+    return {
+        name: PawsPredictor(
+            n_classifiers=3, n_estimators=2, gp_max_points=120, seed=7,
+            **config,
+        ).fit(park_split.train)
+        for name, config in MEMBER_MODELS.items()
+    }
+
+
+def _reference_effort_response(predictor, X, grid):
+    """The batched effort response as computed before the member-pass
+    cache: separate member probability and variance sweeps, the qualified
+    weight products, the zero-effort anchor and a fresh uncertainty scaler."""
+    ensemble = predictor._ensemble
+    if ensemble is None:
+        risk = np.repeat(predictor.predict_proba(X)[:, None], grid.size, axis=1)
+        raw = np.repeat(predictor.predict_variance(X)[:, None], grid.size, axis=1)
+    else:
+        mask = ensemble.thresholds_[:, None] <= grid[None, :]
+        mask[0, :] = True
+        weighted = ensemble.weights_[:, None] * mask
+        denom = weighted.sum(axis=0)
+        denom[denom <= 0] = 1.0
+        risk = ensemble.member_probabilities(X).T @ weighted / denom
+        raw = ensemble.member_variances(X).T @ weighted / denom
+    risk[:, grid == 0.0] = 0.0
+    return risk, UncertaintyScaler().fit(raw.ravel()).transform(raw)
+
+
+class TestMemberPassCache:
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("tile_size", [None, 1, 7])
+    @pytest.mark.parametrize("name", sorted(MEMBER_MODELS))
+    def test_served_surfaces_equal_the_direct_calls(
+        self, member_models, park_split, name, tile_size, backend
+    ):
+        predictor = member_models[name]
+        X = park_split.test.feature_matrix[:40]
+        service = RiskMapService(
+            predictor, tile_size=tile_size, n_jobs=2, backend=backend
+        )
+        for effort in EFFORTS:
+            np.testing.assert_array_equal(
+                service.risk_map(X, effort=effort),
+                predictor.predict_proba(X, effort=effort),
+            )
+        risk, nu = service.effort_response(X, GRID)
+        ref_risk, ref_nu = _reference_effort_response(predictor, X, GRID)
+        np.testing.assert_array_equal(risk, ref_risk)
+        np.testing.assert_array_equal(nu, ref_nu)
+        assert service.member_cache_info()["misses"] == 1
+
+    @pytest.mark.parametrize("name", sorted(MEMBER_MODELS))
+    def test_library_effort_response_unchanged(
+        self, member_models, park_split, name
+    ):
+        predictor = member_models[name]
+        X = park_split.test.feature_matrix
+        risk, nu = predictor.effort_response(X, GRID)
+        ref_risk, ref_nu = _reference_effort_response(predictor, X, GRID)
+        np.testing.assert_array_equal(risk, ref_risk)
+        np.testing.assert_array_equal(nu, ref_nu)
+
+    def test_twenty_efforts_share_one_member_pass(
+        self, member_models, park_split
+    ):
+        predictor = member_models["GPB-iW"]
+        X = park_split.test.feature_matrix
+        with collect_stats() as one_pass:
+            predictor.member_surfaces(X)
+        service = RiskMapService(predictor)
+        for effort in np.linspace(0.1, 6.0, 20):
+            service.risk_map(X, effort=float(effort))
+        service.effort_response(X, GRID)
+        assert service.cache_info()["misses"] == 21
+        members = service.member_cache_info()
+        assert members["misses"] == 1 and members["hits"] == 20
+        assert service.resilience_info()["fanouts"] == one_pass.fanouts
+
+    def test_keyed_by_feature_content(self, member_models, park_split):
+        """A token re-registered to new features must not reuse the old
+        pass; an equal-content copy of the old features must."""
+        predictor = member_models["GPB-iW"]
+        old = park_split.test.feature_matrix
+        new = old[::-1].copy()
+        service = RiskMapService(predictor)
+        token = service.register_features("park", old)
+        service.risk_map(token, effort=1.0)
+        service.register_features("park", new)
+        expected = predictor.predict_proba(new, effort=2.0)
+        assert not np.array_equal(expected, predictor.predict_proba(old, effort=2.0))
+        np.testing.assert_array_equal(service.risk_map(token, effort=2.0), expected)
+        np.testing.assert_array_equal(
+            service.risk_map(old.copy(), effort=3.0),
+            predictor.predict_proba(old, effort=3.0),
+        )
+        members = service.member_cache_info()
+        assert members["misses"] == 2 and members["hits"] == 1
+
+    def test_zero_capacity_caches_nothing(self, member_models, park_split):
+        service = RiskMapService(member_models["DTB-iW"], max_entries=0)
+        X = park_split.test.feature_matrix
+        service.risk_map(X, effort=1.0)
+        service.risk_map(X, effort=2.0)
+        members = service.member_cache_info()
+        assert members["misses"] == 2 and members["entries"] == 0
+
+    def test_deadline_overrun_caches_no_pass(self, member_models, park_split):
+        service = RiskMapService(member_models["GPB-iW"])
+        X = park_split.test.feature_matrix
+        with pytest.raises(DeadlineExceededError):
+            service.risk_map(X, effort=1.0, deadline=1e-9)
+        assert service.member_cache_info()["entries"] == 0
+        assert service.cache_info()["entries"] == 0
+
+    @pytest.mark.parametrize("effort", [np.nan, np.inf, -np.inf, -1.0])
+    def test_rejects_nonfinite_or_negative_effort(
+        self, member_models, park_split, effort
+    ):
+        predictor = member_models["GPB-iW"]
+        X = park_split.test.feature_matrix
+        with pytest.raises(ConfigurationError, match="effort"):
+            RiskMapService(predictor).risk_map(X, effort=effort)
+        with pytest.raises(ConfigurationError, match="effort"):
+            predictor.mix_effort(predictor.member_surfaces(X), effort)
+
+    def test_rejects_nonfinite_grid(self, member_models, park_split):
+        predictor = member_models["GPB-iW"]
+        X = park_split.test.feature_matrix
+        grid = np.array([0.0, 1.0, np.inf])
+        with pytest.raises(ConfigurationError, match="finite"):
+            RiskMapService(predictor).effort_response(X, grid)
+        with pytest.raises(ConfigurationError, match="finite"):
+            predictor.effort_response(X, np.array([0.0, np.nan]))
